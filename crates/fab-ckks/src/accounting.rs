@@ -31,7 +31,11 @@
 //!   and the partial sums pay one inverse pair per giant **group** instead of per diagonal
 //!   ([`bsgs_stage_eval`] vs the PR 4 [`bsgs_stage`]);
 //! * fused ModDown+rescale (`multiply_rescale`): identical transform count to `multiply` —
-//!   basis conversions are NTT-free, so the fusion saves conversion work, not transforms.
+//!   basis conversions are NTT-free, so the fusion saves conversion work, not transforms;
+//! * constant multiply/add (`multiply_const`, `multiply_scalar`, `match_scale`,
+//!   `add_scalar`): **zero** transforms in either domain — the constant's per-limb residues
+//!   act on the ciphertext limbs directly ([`constant_op`]), so a Chebyshev evaluation
+//!   costs exactly its ciphertext multiplications.
 //!
 //! Use [`NttMeter`] to measure a region and surface the observed count as a
 //! [`fab_trace::HeOp::Ntt`] op in a recorded trace.
@@ -129,9 +133,20 @@ pub fn multiply_plain(limbs: usize) -> TransformCounts {
 /// Expected transforms of a plaintext multiplication on an **evaluation-form** ciphertext:
 /// only the plaintext goes forward — the parts are already there, and the product stays
 /// eval-resident (no inverses). With an NTT-cached plaintext
-/// (`Evaluator::multiply_plain_ntt`) even that forward disappears: zero transforms.
+/// (`Evaluator::multiply_plain_ntt`) even that forward disappears: zero transforms. A
+/// constant needs no plaintext at all ([`constant_op`]).
 pub fn multiply_plain_eval(limbs: usize) -> TransformCounts {
     counts(limbs as u64, 0)
+}
+
+/// Expected transforms of a constant operation — `Evaluator::multiply_const` (the product
+/// inside `multiply_scalar` and `match_scale`) or `Evaluator::add_scalar` — in either
+/// domain: none. The constant's residues `round(value·scale) mod q_i` multiply (or add to)
+/// the ciphertext limbs directly, since a constant polynomial transforms to that constant
+/// in every slot; no plaintext is built or transformed. Only a complex constant on an
+/// evaluation-form ciphertext, which no pipeline issues, still pays [`multiply_plain_eval`].
+pub fn constant_op() -> TransformCounts {
+    TransformCounts::default()
 }
 
 /// Expected transforms of one key-switched rotation (or conjugation): the coefficient-domain
@@ -315,6 +330,23 @@ pub fn multiply_rescale_bytes(
         + kskip_bytes(degree, limbs, special, alpha, false)
         + bytes::ntt_inverse(degree).times(2 * raised)
         + bytes::mod_down(degree, limbs - 1, special + 1).times(2)
+}
+
+/// Bytes moved by a real-constant multiply (`Evaluator::multiply_const`) in either domain:
+/// one per-limb scalar pass over each ciphertext part.
+pub fn multiply_const_bytes(degree: usize, limbs: usize) -> ByteCounts {
+    bytes::pointwise_unary(degree, limbs).times(2)
+}
+
+/// Bytes moved by a real-constant `Evaluator::add_scalar`: in evaluation form one per-limb
+/// scalar pass over `c0` (the constant lands in every slot); in coefficient form only
+/// coefficient `0` of each `c0` limb changes, below the row-pass granularity — nothing.
+pub fn add_scalar_bytes(degree: usize, limbs: usize, evaluation: bool) -> ByteCounts {
+    if evaluation {
+        bytes::pointwise_unary(degree, limbs)
+    } else {
+        ByteCounts::default()
+    }
 }
 
 /// Bytes moved by one key-switched rotation (or conjugation): both parts' automorphism

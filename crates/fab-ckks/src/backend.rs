@@ -53,7 +53,7 @@ pub trait EvalBackend {
     /// Homomorphic subtraction.
     fn sub(&self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct>;
 
-    /// Adds a constant to every slot.
+    /// Adds a constant to every slot (transform-free on real ciphertexts).
     fn add_scalar(&self, a: &Self::Ct, scalar: Complex64) -> Result<Self::Ct>;
 
     /// Multiplies every slot by a constant encoded at the current rescaling prime, then
@@ -63,7 +63,8 @@ pub trait EvalBackend {
     /// Ciphertext–ciphertext multiplication with relinearisation and rescale.
     fn multiply_rescale(&self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct>;
 
-    /// Multiplies by a constant plaintext encoded at `pt_scale` (no rescale).
+    /// Multiplies by a constant at `pt_scale` (no rescale; one `MultiplyPlain`, transform-free
+    /// on real ciphertexts — [`Evaluator::multiply_const`]).
     fn multiply_const(&self, a: &Self::Ct, value: Complex64, pt_scale: f64) -> Result<Self::Ct>;
 
     /// Multiplies by a slot-vector plaintext encoded at `pt_scale` (no rescale).
@@ -147,19 +148,6 @@ pub trait EvalBackend {
 
     /// Multiplication by the monomial `X^power` (free on FAB; no trace op).
     fn multiply_by_monomial(&self, a: &Self::Ct, power: usize) -> Result<Self::Ct>;
-
-    /// Promotes a ciphertext to the backend's **evaluation-resident** form, after which
-    /// plaintext-multiply/add chains perform no per-step transforms. Emits no trace op —
-    /// domain moves are representation bookkeeping, not semantic operations. The default is
-    /// the identity (shadows carry no representation); [`ExecBackend`] overrides it with
-    /// [`Evaluator::to_evaluation_form`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates level errors.
-    fn to_eval_resident(&self, a: &Self::Ct) -> Result<Self::Ct> {
-        Ok(a.clone())
-    }
 
     /// Applies a planned BSGS linear transform. The default runs the backend-generic
     /// coefficient-resident control flow (one plaintext multiplication round-trip per
@@ -268,11 +256,7 @@ impl EvalBackend for ExecBackend<'_> {
         value: Complex64,
         pt_scale: f64,
     ) -> Result<Ciphertext> {
-        let pt = self
-            .evaluator
-            .encoder()
-            .encode_constant(value, pt_scale, a.level())?;
-        self.evaluator.multiply_plain(a, &pt)
+        self.evaluator.multiply_const(a, value, pt_scale)
     }
 
     fn multiply_slots(
@@ -339,10 +323,6 @@ impl EvalBackend for ExecBackend<'_> {
 
     fn multiply_by_monomial(&self, a: &Ciphertext, power: usize) -> Result<Ciphertext> {
         self.evaluator.multiply_by_monomial(a, power)
-    }
-
-    fn to_eval_resident(&self, a: &Ciphertext) -> Result<Ciphertext> {
-        self.evaluator.to_evaluation_form(a)
     }
 
     fn apply_bsgs_planned(
@@ -463,7 +443,7 @@ impl EvalBackend for PlanBackend {
     }
 
     fn add_scalar(&self, a: &PlanCiphertext, _scalar: Complex64) -> Result<PlanCiphertext> {
-        // encode_constant at (a.scale, a.level) then add_plain.
+        // The constant's residues added at (a.scale, a.level): one Add, no plaintext.
         self.record(HeOp::Add { level: a.level });
         Ok(*a)
     }

@@ -15,8 +15,10 @@
 //! eval-resident BSGS execution warms each stage's **NTT-cached diagonal plaintexts** once
 //! (on the first bootstrap, per level) and then performs zero plaintext forward transforms
 //! on every further iteration — the cache is exactly the "reused across every apply and
-//! every bootstrap iteration" term of `fab_ckks::accounting::bsgs_stage_eval`; EvalMod's
-//! Chebyshev leaf accumulations likewise run eval-resident through the backend seam.
+//! every bootstrap iteration" term of `fab_ckks::accounting::bsgs_stage_eval`. EvalMod's
+//! constants (the Chebyshev leaf coefficients, the `−1` of each `T_{2k}`, scale matching) are
+//! scalar RNS operations on coefficient-form ciphertexts and perform no transforms at all
+//! (`fab_ckks::accounting::constant_op`).
 //!
 //! ## Sparse-slot bootstrapping
 //!

@@ -7,6 +7,8 @@
 use fab_math::Complex64;
 
 use crate::backend::{EvalBackend, ExecBackend};
+use crate::encoding::scaled_constant;
+use crate::evaluator::SCALE_TOLERANCE;
 use crate::{Ciphertext, CkksError, Evaluator, RelinearizationKey, Result};
 
 /// A Chebyshev series `Σ c_k T_k(t)` on a domain `[a, b]` (mapped affinely onto `[-1, 1]`).
@@ -266,14 +268,16 @@ impl ChebyshevSeries {
         backend.add(&x, &y)
     }
 
-    /// Leaf evaluation `Σ_{j<m} c_j·T_j` using plaintext multiplications only.
+    /// Leaf evaluation `Σ_{j<m} c_j·T_j` using constant multiplications only.
     ///
-    /// The accumulation runs **eval-resident**: every basis term is promoted to the
-    /// backend's evaluation form once, so each constant product and each add is
-    /// transform-free on real ciphertexts (the constant plaintext pays its own forwards;
-    /// the terms never round-trip). The single crossing back to coefficient form happens
-    /// inside the trailing rescale. Bitwise identical to the coefficient-resident order —
-    /// the inverse NTT canonicalises — and the emitted op stream is unchanged.
+    /// The terms stay in coefficient form: on real ciphertexts each constant product and each
+    /// add is a scalar RNS pass with no transforms, and the trailing rescale needs
+    /// coefficient data anyway. After the first nonzero term, which fixes the sum's scale, a
+    /// term whose coefficient encodes to zero at the working prime (the ~1e-17 even
+    /// coefficients of an odd function) is skipped when its scale already agrees with the
+    /// sum's: it would add an exact zero. The skip depends only on coefficients, levels and
+    /// scales, so planned and recorded traces stay equal, and the zero terms still take
+    /// part in the choice of the working level, so the result is bitwise unchanged.
     fn evaluate_leaf<B: EvalBackend>(
         &self,
         backend: &B,
@@ -302,16 +306,24 @@ impl ChebyshevSeries {
         }
         let prime = backend.ctx().rescale_prime(level) as f64;
         let mut acc: Option<B::Ct> = None;
-        for (j, c) in coeffs.iter().enumerate().skip(1) {
+        for (j, c) in coeffs.iter().copied().enumerate().skip(1) {
             if c.abs() == 0.0 {
                 continue;
             }
             let t = basis[j].as_ref().ok_or(CkksError::InvalidInput {
                 reason: format!("chebyshev basis T_{j} missing"),
             })?;
+            if let Some(prev) = &acc {
+                // A term that encodes to zero adds an exact zero. Skipping it changes nothing
+                // unless aligning it with the sum would have matched their scales.
+                let aligned = (backend.scale(prev) / (backend.scale(t) * prime) - 1.0).abs()
+                    < SCALE_TOLERANCE;
+                if aligned && scaled_constant(Complex64::new(c, 0.0), prime)?.0 == 0 {
+                    continue;
+                }
+            }
             let t = backend.mod_drop_to_level(t, level)?;
-            let t = backend.to_eval_resident(&t)?;
-            let term = backend.multiply_const(&t, Complex64::new(*c, 0.0), prime)?;
+            let term = backend.multiply_const(&t, Complex64::new(c, 0.0), prime)?;
             acc = Some(match acc {
                 None => term,
                 Some(prev) => {
@@ -372,6 +384,32 @@ mod tests {
                 assert!(c.abs() < 1e-12, "even coefficient {k} = {c}");
             }
         }
+    }
+
+    #[test]
+    fn leaves_skip_terms_that_encode_to_zero() {
+        // The even coefficients of an odd fit are ~1e-17: they encode to zero at the working
+        // prime and are skipped, so the plan equals that of the same series with those
+        // coefficients exactly zero, with at most one MultiplyPlain per odd index 1..=31.
+        use crate::backend::{PlanBackend, PlanCiphertext};
+        let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
+        let sine = ChebyshevSeries::fit(|x| (3.0 * x).sin(), 31, -1.0, 1.0);
+        let odd: Vec<f64> = sine
+            .coefficients()
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| if k % 2 == 0 { 0.0 } else { c })
+            .collect();
+        let odd = ChebyshevSeries::from_coefficients(odd, -1.0, 1.0);
+        let input = PlanCiphertext::new(ctx.params().max_level, ctx.params().default_scale());
+        let plan = |series: &ChebyshevSeries| {
+            let backend = PlanBackend::new(ctx.clone(), "sine");
+            series.evaluate_with(&backend, &input).unwrap();
+            backend.into_trace()
+        };
+        let (fitted, exact) = (plan(&sine), plan(&odd));
+        assert_eq!(fitted.ops, exact.ops);
+        assert!(fitted.counts().multiply_plain <= 16);
     }
 
     #[test]

@@ -11,6 +11,28 @@ use crate::{CkksContext, CkksError, Plaintext, Result};
 /// the first limb for decodability).
 const MAX_COEFF_MAGNITUDE: f64 = 4.611_686_018_427_388e18; // 2^62
 
+/// The integer pair `(round(re·scale), round(im·scale))` a constant plaintext carries — the
+/// one rounding and 62-bit range check shared by every constant path.
+///
+/// # Errors
+///
+/// Returns [`CkksError::InvalidInput`] on coefficient overflow or a non-positive scale.
+pub(crate) fn scaled_constant(value: Complex64, scale: f64) -> Result<(i64, i64)> {
+    if scale <= 0.0 || !scale.is_finite() {
+        return Err(CkksError::InvalidInput {
+            reason: format!("scale {scale} must be positive and finite"),
+        });
+    }
+    let re = (value.re * scale).round();
+    let im = (value.im * scale).round();
+    if re.abs() > MAX_COEFF_MAGNITUDE || im.abs() > MAX_COEFF_MAGNITUDE {
+        return Err(CkksError::InvalidInput {
+            reason: "scaled constant exceeds the supported 62-bit range".into(),
+        });
+    }
+    Ok((re as i64, im as i64))
+}
+
 /// Encoder/decoder between complex slot vectors and scaled integer polynomials.
 ///
 /// ```
@@ -107,25 +129,40 @@ impl Encoder {
     ///
     /// Returns [`CkksError::InvalidInput`] on coefficient overflow or a non-positive scale.
     pub fn encode_constant(&self, value: Complex64, scale: f64, level: usize) -> Result<Plaintext> {
-        if scale <= 0.0 || !scale.is_finite() {
-            return Err(CkksError::InvalidInput {
-                reason: format!("scale {scale} must be positive and finite"),
-            });
-        }
-        let re = (value.re * scale).round();
-        let im = (value.im * scale).round();
-        if re.abs() > MAX_COEFF_MAGNITUDE || im.abs() > MAX_COEFF_MAGNITUDE {
-            return Err(CkksError::InvalidInput {
-                reason: "scaled constant exceeds the supported 62-bit range".into(),
-            });
-        }
+        let (re, im) = self.constant_residues(value, scale, level)?;
         let degree = self.ctx.degree();
-        let mut coeffs = vec![0i64; degree];
-        coeffs[0] = re as i64;
-        coeffs[degree / 2] = im as i64;
-        let basis = self.ctx.basis_at_level(level)?;
-        let poly = RnsPolynomial::from_signed_coeffs(&coeffs, &basis, Representation::Coefficient);
+        let mut poly = RnsPolynomial::zero(degree, level + 1, Representation::Coefficient);
+        for (i, row) in poly.limbs_iter_mut().enumerate() {
+            row[0] = re[i];
+            if let Some(im) = &im {
+                row[degree / 2] = im[i];
+            }
+        }
         Ok(Plaintext::from_parts(poly, scale, level))
+    }
+
+    /// Per-limb residues `round(value·scale) mod q_i` of a constant at `level`: the real
+    /// part's, and the imaginary part's when it rounds to a nonzero integer. These are the
+    /// coefficients `0` and `N/2` of [`Self::encode_constant`]'s plaintext, which is what lets
+    /// the evaluator apply a constant with scalar RNS arithmetic instead of a plaintext.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::encode_constant`].
+    pub(crate) fn constant_residues(
+        &self,
+        value: Complex64,
+        scale: f64,
+        level: usize,
+    ) -> Result<(Vec<u64>, Option<Vec<u64>>)> {
+        let (re, im) = scaled_constant(value, scale)?;
+        let basis = self.ctx.basis_at_level(level)?;
+        let residues = |c: i64| -> Vec<u64> {
+            (0..basis.len())
+                .map(|i| basis.modulus(i).reduce_i64(c))
+                .collect()
+        };
+        Ok((residues(re), (im != 0).then(|| residues(im))))
     }
 
     /// Decodes a plaintext into `N/2` complex slot values.

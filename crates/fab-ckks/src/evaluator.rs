@@ -425,14 +425,41 @@ impl Evaluator {
         ))
     }
 
-    /// Adds the same complex constant to every slot.
+    /// Adds the same complex constant to every slot, without building a plaintext: the
+    /// constant's residues go to coefficients `0` (real part) and `N/2` (imaginary part) of a
+    /// coefficient-form `c0`, or to every slot of an evaluation-form `c0` (a constant
+    /// polynomial transforms to that constant in every slot). Bitwise identical to
+    /// [`Encoder::encode_constant`] followed by [`Self::add_plain`], and transform-free
+    /// (`accounting::constant_op`) except for a complex constant on an evaluation-form
+    /// ciphertext, which still takes that plaintext route.
     ///
     /// # Errors
     ///
     /// Propagates encoding errors.
     pub fn add_scalar(&self, a: &Ciphertext, scalar: Complex64) -> Result<Ciphertext> {
-        let pt = self.encoder.encode_constant(scalar, a.scale, a.level)?;
-        self.add_plain(a, &pt)
+        let (re, im) = self.encoder.constant_residues(scalar, a.scale, a.level)?;
+        let eval = a.c0.is_evaluation();
+        if eval && im.is_some() {
+            let pt = self.encoder.encode_constant(scalar, a.scale, a.level)?;
+            return self.add_plain(a, &pt);
+        }
+        self.record(HeOp::Add { level: a.level });
+        let basis = self.ctx.basis_at_level(a.level)?;
+        let c0 = if eval {
+            a.c0.add_scalar_per_limb(&re, &basis)
+        } else {
+            let half = a.c0.degree() / 2;
+            let mut c0 = a.c0.clone();
+            for (i, row) in c0.limbs_iter_mut().enumerate() {
+                let m = basis.modulus(i);
+                row[0] = m.add(row[0], re[i]);
+                if let Some(im) = &im {
+                    row[half] = m.add(row[half], im[i]);
+                }
+            }
+            c0
+        };
+        Ok(Ciphertext::from_parts(c0, a.c1.clone(), a.scale, a.level))
     }
 
     // ------------------------------------------------------------ multiplicative operations
@@ -444,7 +471,8 @@ impl Evaluator {
     /// the forward and the final inverse round-trip — only the plaintext pays its `ℓ+1`
     /// forwards — and the result stays in evaluation form for the caller's next eval-resident
     /// step (`accounting::multiply_plain_eval`). Callers holding a pre-transformed plaintext
-    /// can drop even those forwards via [`Evaluator::multiply_plain_ntt`].
+    /// can drop even those forwards via [`Evaluator::multiply_plain_ntt`]; a constant needs
+    /// no plaintext at all ([`Evaluator::multiply_const`]).
     ///
     /// # Errors
     ///
@@ -522,8 +550,52 @@ impl Evaluator {
         Ok(Ciphertext::from_parts(r0, r1, a.scale * pt_scale, a.level))
     }
 
+    /// Multiplies every slot by a complex constant encoded at `pt_scale` (no rescale; the
+    /// result scale is `a.scale · pt_scale`), with scalar RNS arithmetic instead of a
+    /// plaintext: both parts are multiplied limb by limb with the residues
+    /// `round(value·pt_scale) mod q_i`, in whatever domain they are in, and a nonzero
+    /// imaginary part on a coefficient-form ciphertext adds `im·X^{N/2}·a` (a negacyclic
+    /// shift). Records the same [`HeOp::MultiplyPlain`] and is bitwise identical to
+    /// [`Encoder::encode_constant`] followed by [`Self::multiply_plain`], but performs no
+    /// transforms (`accounting::constant_op`). Only a complex constant on an
+    /// evaluation-form ciphertext — where `X^{N/2}` is no constant — takes that plaintext
+    /// route.
+    ///
+    /// # Errors
+    ///
+    /// Propagates encoding errors (overflow, non-positive scale) and level errors.
+    pub fn multiply_const(
+        &self,
+        a: &Ciphertext,
+        value: Complex64,
+        pt_scale: f64,
+    ) -> Result<Ciphertext> {
+        let (re, im) = self.encoder.constant_residues(value, pt_scale, a.level)?;
+        if a.c0.is_evaluation() && im.is_some() {
+            let pt = self.encoder.encode_constant(value, pt_scale, a.level)?;
+            return self.multiply_plain(a, &pt);
+        }
+        self.record(HeOp::MultiplyPlain { level: a.level });
+        let basis = self.ctx.basis_at_level(a.level)?;
+        let scale_part = |part: &RnsPolynomial| -> Result<RnsPolynomial> {
+            let mut out = part.mul_scalar_per_limb(&re, &basis);
+            if let Some(im) = &im {
+                let shifted = multiply_poly_by_monomial(part, part.degree() / 2, &basis);
+                out.add_assign(&shifted.mul_scalar_per_limb(im, &basis), &basis)?;
+            }
+            Ok(out)
+        };
+        Ok(Ciphertext::from_parts(
+            scale_part(&a.c0)?,
+            scale_part(&a.c1)?,
+            a.scale * pt_scale,
+            a.level,
+        ))
+    }
+
     /// Multiplies every slot by a complex scalar encoded at the current level's rescaling
-    /// prime, then rescales — the scale is preserved while one level is consumed.
+    /// prime ([`Self::multiply_const`]), then rescales — the scale is preserved while one
+    /// level is consumed.
     ///
     /// # Errors
     ///
@@ -535,8 +607,7 @@ impl Evaluator {
             });
         }
         let prime = self.ctx.rescale_prime(a.level) as f64;
-        let pt = self.encoder.encode_constant(scalar, prime, a.level)?;
-        let product = self.multiply_plain(a, &pt)?;
+        let product = self.multiply_const(a, scalar, prime)?;
         self.rescale(&product)
     }
 
@@ -784,7 +855,8 @@ impl Evaluator {
     }
 
     /// Brings a ciphertext to the target scale exactly by multiplying with the constant `1`
-    /// encoded at the appropriate scale and rescaling (consumes one level).
+    /// at the appropriate scale ([`Self::multiply_const`]) and rescaling (consumes one
+    /// level).
     ///
     /// # Errors
     ///
@@ -811,10 +883,7 @@ impl Evaluator {
                 ),
             });
         }
-        let pt = self
-            .encoder
-            .encode_constant(Complex64::one(), enc_scale, a.level)?;
-        let product = self.multiply_plain(a, &pt)?;
+        let product = self.multiply_const(a, Complex64::one(), enc_scale)?;
         let mut rescaled = self.rescale(&product)?;
         // The achieved scale differs from the target only by the rounding of enc_scale;
         // declare the exact target to keep downstream additions well-typed. The relative error

@@ -41,7 +41,9 @@
 //! transform-free per step, and BSGS applies run against the plan's **NTT-cached** diagonal
 //! plaintexts with one inverse pair per giant group
 //! ([`Evaluator::multiply_plain_ntt`]) — zero plaintext forwards after the one-time
-//! per-level warm-up, reused across applies and bootstrap iterations.
+//! per-level warm-up, reused across applies and bootstrap iterations. Constants need no
+//! plaintext at all: [`Evaluator::multiply_const`] and [`Evaluator::add_scalar`] apply the
+//! constant's RNS residues limb by limb in either domain, transform-free.
 //!
 //! The [`accounting`] module carries the closed-form expected NTT counts for every hot
 //! operation, asserted against the `fab_rns::metering` tallies by regression tests; the

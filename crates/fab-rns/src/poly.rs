@@ -633,6 +633,29 @@ impl RnsPolynomial {
         out
     }
 
+    /// Adds a per-limb scalar to every coefficient (in evaluation form: to every slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scalars.len()` differs from the limb count.
+    pub fn add_scalar_per_limb(&self, scalars: &[u64], basis: &RnsBasis) -> Self {
+        assert_eq!(scalars.len(), self.limb_count);
+        let mut out = self.clone();
+        let degree = out.degree;
+        crate::metering::add_bytes(crate::metering::bytes::pointwise_unary(
+            degree,
+            out.limb_count,
+        ));
+        fab_par::par_chunks_mut(&mut out.data, degree, |i, row| {
+            let m = basis.modulus(i);
+            let s = m.reduce(scalars[i]);
+            for x in row.iter_mut() {
+                *x = m.add(*x, s);
+            }
+        });
+        out
+    }
+
     /// Applies the Galois automorphism `x → x^element`. The polynomial must be in coefficient
     /// representation (the FAB automorph unit also permutes coefficient/slot indices directly).
     ///
@@ -757,6 +780,29 @@ mod tests {
         for (i, row) in p.limbs_iter().enumerate() {
             assert_eq!(row, p.limb(i));
         }
+    }
+
+    #[test]
+    fn scalar_ops_match_the_transformed_constant_polynomial() {
+        // A constant polynomial transforms to that constant in every slot, so the per-limb
+        // scalar kernels equal the pointwise product/sum with the transformed constant.
+        let b = basis(3);
+        let mut p = random_poly(&b, 42);
+        p.to_evaluation(&b);
+        let scalars: Vec<u64> = b.moduli().iter().map(|m| m.value() - 5).collect();
+        let mut constant = RnsPolynomial::zero(b.degree(), 3, Representation::Coefficient);
+        for (row, &s) in constant.limbs_iter_mut().zip(&scalars) {
+            row[0] = s;
+        }
+        constant.to_evaluation(&b);
+        assert_eq!(
+            p.mul_scalar_per_limb(&scalars, &b),
+            p.mul(&constant, &b).unwrap()
+        );
+        assert_eq!(
+            p.add_scalar_per_limb(&scalars, &b),
+            p.add(&constant, &b).unwrap()
+        );
     }
 
     #[test]

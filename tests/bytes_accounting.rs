@@ -3,8 +3,8 @@
 //! `fab_ckks::accounting` — the same verified-counters discipline `ntt_accounting.rs`
 //! applies to transform counts, extended to the byte meter that feeds the PR 7 software
 //! roofline. A future change that silently adds (or loses) memory traffic in `key_switch`,
-//! `multiply`, `multiply_rescale`, a hoisted rotation batch, or a bootstrap BSGS stage
-//! fails here, not in a benchmark.
+//! `multiply`, `multiply_rescale`, a hoisted rotation batch, a bootstrap BSGS stage, or a
+//! constant multiply/add fails here, not in a benchmark.
 //!
 //! The meter charges on the calling thread before any `fab_par` fan-out, so every tally —
 //! and therefore every assertion below — is invariant under `FAB_THREADS`; the last test
@@ -123,6 +123,62 @@ fn multiply_and_fused_rescale_bytes_match_their_formulas() {
         observed,
         accounting::multiply_rescale_bytes(degree, limbs, special, alpha),
         "multiply_rescale recorded bytes drifted"
+    );
+}
+
+#[test]
+fn constant_op_bytes_match_their_formulas_in_both_domains() {
+    // A constant multiply is one per-limb scalar pass over each part; a constant add is one
+    // pass over `c0` in evaluation form and below row granularity in coefficient form. No
+    // plaintext is built, so no transform traffic appears in either domain.
+    let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
+    let mut rng = ChaCha20Rng::seed_from_u64(4343);
+    let sk = SecretKey::generate(&ctx, &mut rng);
+    let keygen = KeyGenerator::new(ctx.clone(), sk);
+    let pk = keygen.public_key(&mut rng);
+    let encoder = Encoder::new(ctx.clone());
+    let encryptor = Encryptor::new(ctx.clone(), pk);
+    let evaluator = Evaluator::new(ctx.clone());
+    let scale = ctx.params().default_scale();
+    let values: Vec<f64> = (0..16).map(|i| (i as f64 * 0.2).cos()).collect();
+    let level = 3;
+    let ct = encryptor
+        .encrypt(
+            &encoder.encode_real(&values, scale, level).unwrap(),
+            &mut rng,
+        )
+        .unwrap();
+    let ct_eval = evaluator.to_evaluation_form(&ct).unwrap();
+    let limbs = level + 1;
+    let degree = ctx.degree();
+    let c = Complex64::new(0.625, 0.0);
+    let prime = ctx.rescale_prime(level) as f64;
+
+    for (evaluation, operand) in [(false, &ct), (true, &ct_eval)] {
+        let before = metering::byte_counts();
+        evaluator.multiply_const(operand, c, prime).unwrap();
+        assert_eq!(
+            metering::byte_counts().since(&before),
+            accounting::multiply_const_bytes(degree, limbs),
+            "multiply_const recorded bytes drifted (evaluation form: {evaluation})"
+        );
+        let before = metering::byte_counts();
+        evaluator.add_scalar(operand, c).unwrap();
+        assert_eq!(
+            metering::byte_counts().since(&before),
+            accounting::add_scalar_bytes(degree, limbs, evaluation),
+            "add_scalar recorded bytes drifted (evaluation form: {evaluation})"
+        );
+    }
+
+    // multiply_scalar = the constant multiply + a rescale of both parts.
+    let before = metering::byte_counts();
+    evaluator.multiply_scalar(&ct, c).unwrap();
+    assert_eq!(
+        metering::byte_counts().since(&before),
+        accounting::multiply_const_bytes(degree, limbs)
+            + metering::bytes::rescale(degree, limbs).times(2),
+        "multiply_scalar recorded bytes drifted"
     );
 }
 

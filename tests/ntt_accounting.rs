@@ -15,6 +15,10 @@
 //!   before);
 //! * the eval-resident BSGS stage matches its warm/steady formulas, and after warm-up
 //!   performs **zero plaintext forward transforms**.
+//!
+//! Constant operations (`multiply_const`, `multiply_scalar`, `match_scale`, `add_scalar`)
+//! perform zero transforms in either domain, so a Chebyshev evaluation costs exactly the
+//! transforms of its ciphertext multiplications.
 
 use fab::ckks::accounting::{self, NttMeter};
 use fab::ckks::backend::ExecBackend;
@@ -182,6 +186,66 @@ fn multiply_plain_matches_its_formula_in_both_domains() {
     let back = evaluator.to_coefficient_form(&eval_product).unwrap();
     assert_eq!(back.c0(), coeff_product.c0());
     assert_eq!(back.c1(), coeff_product.c1());
+
+    // Constants need no plaintext: multiply_const and add_scalar are transform-free in
+    // both domains, and so are multiply_scalar and match_scale on a coefficient-form
+    // ciphertext (their rescale is a coefficient-domain kernel).
+    let c = Complex64::new(-0.375, 0.0);
+    let prime = ctx.rescale_prime(level) as f64;
+    for (form, operand) in [("coefficient", &ct), ("evaluation", &ct_eval)] {
+        let before = metering::counts();
+        evaluator.multiply_const(operand, c, prime).unwrap();
+        evaluator.add_scalar(operand, c).unwrap();
+        assert_eq!(
+            metering::counts().since(&before),
+            accounting::add(accounting::constant_op(), accounting::constant_op()),
+            "{form}-form constant multiply/add performed transforms"
+        );
+    }
+    let before = metering::counts();
+    evaluator.multiply_scalar(&ct, c).unwrap();
+    evaluator.match_scale(&ct, scale * 1.5).unwrap();
+    assert_eq!(
+        metering::counts().since(&before),
+        accounting::constant_op(),
+        "multiply_scalar/match_scale performed transforms"
+    );
+
+    // So a Chebyshev evaluation performs exactly the transforms of its recorded ciphertext
+    // multiplications: its leaves and the `−1` of each `T_2k` contribute zero.
+    let rlk = keygen.relinearization_key(&mut rng);
+    let sink = RecordingSink::shared("chebyshev");
+    let recorded = Evaluator::with_sink(ctx.clone(), sink.clone());
+    let top = ctx.params().max_level;
+    let ct_top = encryptor
+        .encrypt(&encoder.encode_real(&values, scale, top).unwrap(), &mut rng)
+        .unwrap();
+    let series = fab::ckks::ChebyshevSeries::fit(|x| 1.0 / (1.0 + (-x).exp()), 7, -1.0, 1.0);
+    let before = metering::counts();
+    series
+        .evaluate_homomorphic(&recorded, &ct_top, &rlk)
+        .unwrap();
+    let observed = metering::counts().since(&before);
+    let trace = sink.take();
+    let expected = trace
+        .ops
+        .iter()
+        .filter_map(|op| match *op {
+            HeOp::Multiply { level } => {
+                let (limbs, special, alpha) = shape(&ctx, level);
+                Some(accounting::multiply(limbs, special, alpha))
+            }
+            _ => None,
+        })
+        .fold(accounting::constant_op(), accounting::add);
+    assert!(
+        trace.counts().multiply_plain > 0,
+        "the leaves must have run"
+    );
+    assert_eq!(
+        observed, expected,
+        "Chebyshev evaluation transforms differ from the sum of its multiply formulas"
+    );
 }
 
 #[test]
